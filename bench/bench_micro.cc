@@ -2,7 +2,7 @@
  * @file
  * Micro-benchmarks for the hot simulation primitives and software
  * kernels: event-queue throughput, IOTLB lookups, GF(256)
- * arithmetic / Reed-Solomon decode, AES, SHA-256, and
+ * arithmetic / Reed-Solomon encode and decode, AES, SHA-256, and
  * Smith-Waterman. Useful when optimizing the simulator itself.
  *
  * Each scenario runs a fixed iteration count and reports a
@@ -117,6 +117,29 @@ sha256DoubleHash80B(const exp::RunContext &ctx)
 }
 
 exp::ResultRow
+reedSolomonEncode(const exp::RunContext &ctx)
+{
+    algo::ReedSolomon rs;
+    sim::Rng rng(4);
+    std::uint8_t msg[algo::ReedSolomon::kK];
+    for (auto &b : msg)
+        b = static_cast<std::uint8_t>(rng.next());
+
+    const std::uint64_t iters = ctx.scaledCount(2000, 10);
+    std::uint64_t sum = 0;
+    exp::WallTimer t;
+    for (std::uint64_t i = 0; i < iters; ++i) {
+        std::uint8_t cw[algo::ReedSolomon::kN];
+        rs.encode(msg, cw);
+        for (std::size_t j = algo::ReedSolomon::kK;
+             j < algo::ReedSolomon::kN; ++j)
+            sum = sum * 31 + cw[j];
+        ++msg[i % algo::ReedSolomon::kK]; // a new message each time
+    }
+    return microRow("reed_solomon_encode", iters, sum, t.ms());
+}
+
+exp::ResultRow
 reedSolomonDecode(std::size_t nerr, const exp::RunContext &ctx)
 {
     algo::ReedSolomon rs;
@@ -178,6 +201,7 @@ main(int argc, char **argv)
     r.add("iotlb_lookup_hit", iotlbLookupHit);
     r.add("aes128_encrypt_block", aes128EncryptBlock);
     r.add("sha256_double_hash_80b", sha256DoubleHash80B);
+    r.add("reed_solomon_encode", reedSolomonEncode);
     for (std::size_t nerr : {std::size_t{0}, std::size_t{4},
                              std::size_t{16}}) {
         r.add(sim::strprintf("reed_solomon_decode_%zuerr", nerr),

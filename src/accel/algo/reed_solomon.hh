@@ -4,14 +4,18 @@
  * by the RSD benchmark accelerator. Corrects up to 16 symbol errors
  * per 255-byte codeword (syndromes, Berlekamp-Massey, Chien search,
  * Forney's algorithm).
+ *
+ * Table-driven: the field's exp/log tables, the encoder's coef x g[j]
+ * product rows and the per-root syndrome multipliers are constexpr,
+ * built at compile time and shared read-only by every thread.
  */
 
 #ifndef OPTIMUS_ACCEL_ALGO_REED_SOLOMON_HH
 #define OPTIMUS_ACCEL_ALGO_REED_SOLOMON_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace optimus::algo {
 
@@ -19,26 +23,11 @@ namespace optimus::algo {
 class Gf256
 {
   public:
-    Gf256();
-
-    std::uint8_t
-    mul(std::uint8_t a, std::uint8_t b) const
-    {
-        if (a == 0 || b == 0)
-            return 0;
-        return _exp[_log[a] + _log[b]];
-    }
-
-    std::uint8_t div(std::uint8_t a, std::uint8_t b) const;
-    std::uint8_t inv(std::uint8_t a) const;
-    std::uint8_t pow(std::uint8_t a, int n) const;
-
-    std::uint8_t expTable(int i) const { return _exp[i % 255]; }
-    int logTable(std::uint8_t a) const { return _log[a]; }
-
-  private:
-    std::array<std::uint8_t, 512> _exp{};
-    std::array<int, 256> _log{};
+    static std::uint8_t mul(std::uint8_t a, std::uint8_t b);
+    static std::uint8_t div(std::uint8_t a, std::uint8_t b);
+    static std::uint8_t inv(std::uint8_t a);
+    /** alpha^i for i >= 0. */
+    static std::uint8_t expTable(int i);
 };
 
 /** RS(n = 255, k = 223) encoder/decoder, t = 16. */
@@ -50,34 +39,33 @@ class ReedSolomon
     static constexpr std::size_t kParity = kN - kK;
     static constexpr std::size_t kT = kParity / 2; ///< correctable
 
-    ReedSolomon();
+    /** Lookup tables of the codec (16 KB). */
+    struct Tables
+    {
+        /** Row c holds c * g_{j+1} for j < 2t, where g(x) =
+         *  prod_{i<2t} (x - alpha^i) = x^2t + g_1 x^{2t-1} + ... +
+         *  g_2t, packed as byte j % 8 of word j / 8: the feedback of
+         *  one step of the encoder's LFSR, four word XORs. */
+        std::array<std::array<std::uint64_t, kParity / 8>, 256> genMul;
+        /** rootMul[i][x] = x * alpha^i: one Horner step of
+         *  syndrome i. */
+        std::array<std::array<std::uint8_t, 256>, kParity> rootMul;
+    };
+    static const Tables &tables();
 
     /**
      * Encode @p message (kK bytes) into @p codeword (kN bytes):
      * systematic, message first then parity.
      */
-    void encode(const std::uint8_t *message,
-                std::uint8_t *codeword) const;
+    static void encode(const std::uint8_t *message,
+                       std::uint8_t *codeword);
 
     /**
      * Decode @p codeword (kN bytes) in place.
      * @return the number of symbol errors corrected, or -1 if the
      *         codeword was uncorrectable.
      */
-    int decode(std::uint8_t *codeword) const;
-
-    const Gf256 &field() const { return _gf; }
-
-  private:
-    std::vector<std::uint8_t> polyMul(
-        const std::vector<std::uint8_t> &a,
-        const std::vector<std::uint8_t> &b) const;
-    std::uint8_t polyEval(const std::vector<std::uint8_t> &poly,
-                          std::uint8_t x) const;
-
-    Gf256 _gf;
-    /** Generator polynomial, degree kParity, highest term first. */
-    std::vector<std::uint8_t> _generator;
+    static int decode(std::uint8_t *codeword);
 };
 
 } // namespace optimus::algo

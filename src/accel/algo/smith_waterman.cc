@@ -12,21 +12,30 @@ smithWatermanScore(std::string_view a, std::string_view b,
     if (a.empty() || b.empty())
         return 0;
 
-    // Two-row DP; H[i][j] >= 0 with local reset.
-    std::vector<std::int32_t> prev(b.size() + 1, 0);
-    std::vector<std::int32_t> cur(b.size() + 1, 0);
+    // Two flat int32 rows; H[i][j] >= 0 with local reset. Every max
+    // is a pairwise std::max on int32 (conditional moves, no
+    // data-dependent branch), and only the in-row gap term
+    // H[i][j-1] + gap, kept in a register, sits on the loop-carried
+    // chain.
+    const std::int32_t match = params.match;
+    const std::int32_t mismatch = params.mismatch;
+    const std::int32_t gap = params.gap;
+    std::vector<std::int32_t> prev_row(b.size() + 1, 0);
+    std::vector<std::int32_t> cur_row(b.size() + 1, 0);
+    std::int32_t *prev = prev_row.data();
+    std::int32_t *cur = cur_row.data();
     std::int32_t best = 0;
 
-    for (std::size_t i = 1; i <= a.size(); ++i) {
-        cur[0] = 0;
+    for (const char ai : a) {
+        std::int32_t left = 0; // H[i][j - 1]
         for (std::size_t j = 1; j <= b.size(); ++j) {
-            std::int32_t sub =
-                prev[j - 1] + (a[i - 1] == b[j - 1] ? params.match
-                                                    : params.mismatch);
-            std::int32_t del = prev[j] + params.gap;
-            std::int32_t ins = cur[j - 1] + params.gap;
-            std::int32_t h = std::max({0, sub, del, ins});
+            const std::int32_t sub =
+                prev[j - 1] + (ai == b[j - 1] ? match : mismatch);
+            const std::int32_t up =
+                std::max(std::max(sub, prev[j] + gap), 0);
+            const std::int32_t h = std::max(up, left + gap);
             cur[j] = h;
+            left = h;
             best = std::max(best, h);
         }
         std::swap(prev, cur);

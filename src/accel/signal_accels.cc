@@ -193,7 +193,7 @@ RsdAccel::consumeLine(std::uint64_t offset, const std::uint8_t *data,
         return;
 
     std::array<std::uint8_t, kSlotBytes> out{};
-    int n = _rs.decode(_slot.data());
+    int n = algo::ReedSolomon::decode(_slot.data());
     if (n >= 0) {
         _corrected += static_cast<std::uint64_t>(n);
         std::memcpy(out.data(), _slot.data(),

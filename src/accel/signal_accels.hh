@@ -126,7 +126,6 @@ class RsdAccel : public StreamingAccelerator
     std::uint64_t failures() const { return _failures; }
 
   private:
-    algo::ReedSolomon _rs;
     std::array<std::uint8_t, kSlotBytes> _slot{};
     std::uint64_t _slotFill = 0;
     std::uint64_t _slotIndex = 0;

@@ -168,7 +168,10 @@ StreamingAccelerator::saveArchState() const
     std::uint64_t tlen = transform.size();
     std::memcpy(blob.data(), &pos, 8);
     std::memcpy(blob.data() + 8, &tlen, 8);
-    std::memcpy(blob.data() + 16, transform.data(), transform.size());
+    if (!transform.empty()) { // an empty vector's data() may be null
+        std::memcpy(blob.data() + 16, transform.data(),
+                    transform.size());
+    }
     return blob;
 }
 

@@ -257,7 +257,6 @@ class RsdWorkload : public Workload
     program() override
     {
         sim::Rng rng(_seed);
-        algo::ReedSolomon rs;
         std::vector<std::uint8_t> stream(_codewords * kSlot, 0);
         _messages.resize(_codewords * algo::ReedSolomon::kK);
         _corrupted = 0;
@@ -268,7 +267,7 @@ class RsdWorkload : public Workload
             for (std::size_t i = 0; i < algo::ReedSolomon::kK; ++i)
                 msg[i] = static_cast<std::uint8_t>(rng.next());
             std::uint8_t *cw = stream.data() + c * kSlot;
-            rs.encode(msg, cw);
+            algo::ReedSolomon::encode(msg, cw);
             // Corrupt up to t distinct symbols.
             std::uint64_t errs =
                 rng.below(algo::ReedSolomon::kT + 1);

@@ -10,6 +10,8 @@
 #include <cmath>
 #include <cstring>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "accel/algo/graph.hh"
 #include "accel/algo/image.hh"
@@ -51,6 +53,35 @@ TEST(Gf256Test, MulIsCommutativeAndDistributive)
     }
 }
 
+/** Shift-and-add GF(2^8) product reduced by 0x11d, independent of
+ *  any table. */
+std::uint8_t
+slowMul(unsigned a, unsigned b)
+{
+    unsigned p = 0;
+    for (; b != 0; b >>= 1) {
+        if (b & 1)
+            p ^= a;
+        a <<= 1;
+        if (a & 0x100)
+            a ^= 0x11d;
+    }
+    return static_cast<std::uint8_t>(p);
+}
+
+TEST(Gf256Test, MulMatchesShiftAndAddOnAllPairs)
+{
+    int mismatches = 0;
+    for (unsigned a = 0; a < 256; ++a) {
+        for (unsigned b = 0; b < 256; ++b) {
+            mismatches += Gf256::mul(static_cast<std::uint8_t>(a),
+                                     static_cast<std::uint8_t>(b)) !=
+                          slowMul(a, b);
+        }
+    }
+    EXPECT_EQ(mismatches, 0);
+}
+
 // ----------------------------------------------------------- ReedSolomon
 
 TEST(ReedSolomonTest, CleanCodewordDecodesWithZeroErrors)
@@ -63,6 +94,45 @@ TEST(ReedSolomonTest, CleanCodewordDecodesWithZeroErrors)
     rs.encode(msg, cw);
     EXPECT_EQ(rs.decode(cw), 0);
     EXPECT_EQ(0, std::memcmp(cw, msg, ReedSolomon::kK));
+}
+
+TEST(ReedSolomonTest, TablesMatchFieldMultiply)
+{
+    const ReedSolomon::Tables &t = ReedSolomon::tables();
+    // genMul rows pack coefficient j as byte j % 8 of word j / 8.
+    auto gen = [&](unsigned c, std::size_t j) {
+        return static_cast<std::uint8_t>(t.genMul[c][j / 8] >>
+                                         (8 * (j % 8)));
+    };
+    // genMul[1] is g(x) itself (below its monic x^2t term): it must
+    // vanish at alpha^0 .. alpha^{2t-1} and nowhere else among the
+    // next powers.
+    auto g_at = [&](std::uint8_t x) {
+        std::uint8_t y = 1;
+        for (std::size_t j = 0; j < ReedSolomon::kParity; ++j)
+            y = static_cast<std::uint8_t>(Gf256::mul(y, x) ^ gen(1, j));
+        return y;
+    };
+    for (int i = 0; i < 40; ++i) {
+        EXPECT_EQ(g_at(Gf256::expTable(i)) == 0,
+                  i < static_cast<int>(ReedSolomon::kParity))
+            << "alpha^" << i;
+    }
+
+    int mismatches = 0;
+    for (unsigned c = 0; c < 256; ++c) {
+        for (std::size_t j = 0; j < ReedSolomon::kParity; ++j) {
+            mismatches += gen(c, j) != slowMul(c, gen(1, j));
+        }
+    }
+    for (std::size_t i = 0; i < ReedSolomon::kParity; ++i) {
+        for (unsigned x = 0; x < 256; ++x) {
+            mismatches +=
+                t.rootMul[i][x] !=
+                slowMul(x, Gf256::expTable(static_cast<int>(i)));
+        }
+    }
+    EXPECT_EQ(mismatches, 0);
 }
 
 class ReedSolomonErrorTest
@@ -123,6 +193,69 @@ TEST(ReedSolomonTest, RejectsTooManyErrors)
     EXPECT_GE(failures, 8);
 }
 
+/** FNV-1a over @p n bytes, folded into @p h. */
+std::uint64_t
+fnv1a(std::uint64_t h, const void *data, std::size_t n)
+{
+    const auto *p = static_cast<const std::uint8_t *>(data);
+    for (std::size_t i = 0; i < n; ++i)
+        h = (h ^ p[i]) * 0x100000001b3ULL;
+    return h;
+}
+
+/**
+ * Golden digests of a seeded corpus: the encoder's codewords, and for
+ * every error count 0..2t+2 plus wholly random words, the decoder's
+ * return code and the whole buffer it leaves behind, correctable or
+ * not. The values were captured from the log/exp codec that preceded
+ * the table-driven one, so a change to any output, or to the L > t and
+ * root-count rejections, shows here. (No known input reaches the
+ * zero-derivative or syndrome re-check rejections.)
+ */
+TEST(ReedSolomonTest, GoldenCorpusDigest)
+{
+    ReedSolomon rs;
+    Rng rng(20200316);
+    std::uint64_t enc = 0xcbf29ce484222325ULL;
+    std::uint64_t dec = enc;
+    int rejected = 0;
+    auto decode_and_fold = [&](std::uint8_t *cw) {
+        const std::int32_t rc = rs.decode(cw);
+        dec = fnv1a(dec, &rc, sizeof(rc));
+        dec = fnv1a(dec, cw, ReedSolomon::kN);
+        rejected += rc < 0;
+    };
+
+    for (std::size_t nerr = 0; nerr <= 2 * ReedSolomon::kT + 2;
+         ++nerr) {
+        for (int trial = 0; trial < 32; ++trial) {
+            std::uint8_t msg[ReedSolomon::kK];
+            for (auto &b : msg)
+                b = static_cast<std::uint8_t>(rng.next());
+            std::uint8_t cw[ReedSolomon::kN];
+            rs.encode(msg, cw);
+            enc = fnv1a(enc, cw, sizeof(cw));
+
+            std::set<std::size_t> pos;
+            while (pos.size() < nerr)
+                pos.insert(rng.below(ReedSolomon::kN));
+            for (std::size_t p : pos)
+                cw[p] ^= static_cast<std::uint8_t>(1 + rng.below(255));
+            decode_and_fold(cw);
+        }
+    }
+    for (int trial = 0; trial < 64; ++trial) {
+        std::uint8_t cw[ReedSolomon::kN];
+        for (auto &b : cw)
+            b = static_cast<std::uint8_t>(rng.next());
+        decode_and_fold(cw);
+    }
+
+    EXPECT_EQ(enc, 0x131d2020529b7475ULL);
+    EXPECT_EQ(dec, 0x8f6e4522331b144eULL);
+    EXPECT_EQ(rejected, 640); // every word beyond t errors
+}
+
 // --------------------------------------------------------- SmithWaterman
 
 TEST(SmithWatermanTest, KnownAlignments)
@@ -158,6 +291,49 @@ TEST(SmithWatermanTest, SymmetricArguments)
             b.push_back(alpha[rng.below(4)]);
         EXPECT_EQ(smithWatermanScore(a, b),
                   smithWatermanScore(b, a));
+    }
+}
+
+/** Textbook full-matrix Smith-Waterman, the reference for the
+ *  two-row kernel. */
+std::int32_t
+naiveSmithWaterman(const std::string &a, const std::string &b,
+                   const SwParams &p)
+{
+    std::vector<std::vector<std::int32_t>> h(
+        a.size() + 1, std::vector<std::int32_t>(b.size() + 1, 0));
+    std::int32_t best = 0;
+    for (std::size_t i = 1; i <= a.size(); ++i) {
+        for (std::size_t j = 1; j <= b.size(); ++j) {
+            std::int32_t s = a[i - 1] == b[j - 1] ? p.match : p.mismatch;
+            h[i][j] = std::max({0, h[i - 1][j - 1] + s,
+                                h[i - 1][j] + p.gap,
+                                h[i][j - 1] + p.gap});
+            best = std::max(best, h[i][j]);
+        }
+    }
+    return best;
+}
+
+TEST(SmithWatermanTest, MatchesFullMatrixReference)
+{
+    Rng rng(2024);
+    for (int trial = 0; trial < 300; ++trial) {
+        // Small alphabets give long matches; a large one, few.
+        const std::size_t alpha = 1 + rng.below(trial % 3 == 0 ? 20 : 4);
+        std::string a(rng.below(70), 'A');
+        std::string b(rng.below(70), 'A');
+        for (auto &c : a)
+            c = static_cast<char>('A' + rng.below(alpha));
+        for (auto &c : b)
+            c = static_cast<char>('A' + rng.below(alpha));
+        SwParams p;
+        p.match = static_cast<std::int32_t>(rng.below(6));
+        p.mismatch = -static_cast<std::int32_t>(rng.below(5));
+        p.gap = -static_cast<std::int32_t>(rng.below(5));
+        EXPECT_EQ(smithWatermanScore(a, b, p),
+                  naiveSmithWaterman(a, b, p))
+            << "trial " << trial << ": " << a << " / " << b;
     }
 }
 

@@ -176,4 +176,51 @@ TEST(Sha512Test, IncrementalAndSerializeRoundTrip)
     EXPECT_EQ(a.finish(), b.finish());
 }
 
+/**
+ * Every length 0..300 (all padding layouts: 0x80 and the length field
+ * in one block or spilling into a second, for 64- and 128-byte blocks)
+ * hashed one-shot and split into two update() calls at every point.
+ * The chunked digests must equal the one-shot one, and an FNV-1a fold
+ * of the one-shot digests pins them to the values of the byte-at-a-time
+ * padding this codebase used before.
+ */
+template <typename Hasher>
+std::uint64_t
+sweepLengths()
+{
+    std::uint8_t input[300];
+    for (std::size_t i = 0; i < sizeof(input); ++i)
+        input[i] = static_cast<std::uint8_t>(i * 7 + 3);
+
+    std::uint64_t fold = 0xcbf29ce484222325ULL;
+    for (std::size_t len = 0; len <= sizeof(input); ++len) {
+        const auto one_shot = Hasher::hash(input, len);
+        for (std::uint8_t b : one_shot)
+            fold = (fold ^ b) * 0x100000001b3ULL;
+        Hasher h;
+        for (std::size_t split = 0; split <= len; ++split) {
+            h.update(input, split);
+            h.update(input + split, len - split);
+            EXPECT_EQ(h.finish(), one_shot)
+                << "len " << len << " split " << split;
+        }
+    }
+    return fold;
+}
+
+TEST(PaddingTest, Md5EveryLengthOneShotAndChunked)
+{
+    EXPECT_EQ(sweepLengths<Md5>(), 0x8abdf461a76dc5ccULL);
+}
+
+TEST(PaddingTest, Sha256EveryLengthOneShotAndChunked)
+{
+    EXPECT_EQ(sweepLengths<Sha256>(), 0xff53605bf7ec7795ULL);
+}
+
+TEST(PaddingTest, Sha512EveryLengthOneShotAndChunked)
+{
+    EXPECT_EQ(sweepLengths<Sha512>(), 0xa6ad002f65dd2178ULL);
+}
+
 } // namespace
