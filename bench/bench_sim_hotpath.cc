@@ -10,7 +10,7 @@
  * half cannot hide behind an improvement in the other.
  *
  * Every scenario reports deterministic checksums (fingerprinted,
- * identical at any --jobs/--sim-threads) alongside volatile
+ * identical at any --jobs/--domain-plan) alongside volatile
  * wall-clock rate cells excluded from the determinism contract.
  */
 
@@ -346,14 +346,14 @@ cmdRingScenario(const std::string &name, std::uint64_t msgs,
 }
 
 // ---------------------------------------------------------------
-// Epoch scheduler: cross-domain ping-pong, serial vs pooled.
+// Epoch scheduler: cross-domain ping-pong.
 // ---------------------------------------------------------------
 
 /** Barrier-heavy worst case: every epoch carries exactly one
  *  cross-domain message, so this prices the scheduler's
  *  epoch/delivery machinery rather than useful event work. */
 exp::ResultRow
-epochPingPong(const std::string &name, unsigned threads, int legs)
+epochPingPong(const std::string &name, int legs)
 {
     sim::DomainSet set(2);
     const sim::Tick lat = 400; // ~UPI propagation, in ticks
@@ -371,7 +371,7 @@ epochPingPong(const std::string &name, unsigned threads, int legs)
             ping.send(v + 1);
     });
 
-    sim::EpochScheduler sched(set, threads);
+    sim::EpochScheduler sched(set);
     set.queue(0).scheduleAt(0, [&]() { ping.send(1); });
     exp::WallTimer t;
     sched.run();
@@ -400,28 +400,26 @@ epochPingPong(const std::string &name, unsigned threads, int legs)
 
 /**
  * The tentpole measurement: a whole OPTIMUS System (two MB tenants
- * run to completion) under an explicit domain plan and pool width,
+ * run to completion) under an explicit domain plan,
  * pricing the epoch-barrier machinery and the cross-domain channel
  * traffic of the split platform against the single-domain engine.
  *
- * The plan and width are pinned per row — not inherited from
- * --domain-plan/--sim-threads — so the JSON is byte-identical under
- * any CLI combination; and because the deferred boundary channels
- * run the same epoch schedule in every plan, all three rows must
- * produce the *same* fingerprint (the footer checks).
+ * The plan is pinned per row — not inherited from --domain-plan —
+ * so the JSON is byte-identical under any CLI combination; and
+ * because the deferred boundary channels run the same epoch schedule
+ * in every plan, both rows must produce the *same* fingerprint (the
+ * footer checks).
  */
 exp::ResultRow
 splitPlatformRow(const std::string &name, bool split,
-                 unsigned threads, const exp::RunContext &ctx)
+                 const exp::RunContext &ctx)
 {
     bool prev_split = sim::setDefaultDomainSplit(false);
-    unsigned prev_threads = sim::setDefaultSimThreads(1);
     hv::PlatformConfig c = hv::makeOptimusConfig("MB", 2);
     if (split)
         c.domains = hv::splitPlan();
-    hv::System sys(std::move(c), threads);
+    hv::System sys(std::move(c));
     sim::setDefaultDomainSplit(prev_split);
-    sim::setDefaultSimThreads(prev_threads);
 
     std::uint64_t bytes = ctx.scaledBytes(1ULL << 21);
     hv::AccelHandle &a = sys.attach(0);
@@ -550,57 +548,33 @@ main(int argc, char **argv)
         .add("pingpong_serial",
              [](const exp::RunContext &ctx) {
                  return epochPingPong(
-                     "pingpong_serial", 1,
+                     "pingpong_serial",
                      static_cast<int>(
                          ctx.scaledCount(50'000, 200)));
-             })
-        .add("pingpong_pool2",
-             [](const exp::RunContext &ctx) {
-                 return epochPingPong(
-                     "pingpong_pool2", 2,
-                     static_cast<int>(
-                         ctx.scaledCount(50'000, 200)));
-             })
-        .footer([](const std::vector<exp::ResultRow> &rows)
-                    -> std::vector<std::string> {
-            if (rows.size() < 2)
-                return {};
-            bool same =
-                rows[0].fingerprint() == rows[1].fingerprint();
-            return {std::string("serial vs pool2 fingerprints: ") +
-                    (same ? "IDENTICAL" : "DIVERGED")};
-        });
+             });
 
     r.table("Split platform: one System across domains",
             "DESIGN.md §12 (splitting the stock platform)")
         .add("platform_single_serial",
              [](const exp::RunContext &ctx) {
                  return splitPlatformRow("platform_single_serial",
-                                         false, 1, ctx);
+                                         false, ctx);
              })
         .add("platform_split_serial",
              [](const exp::RunContext &ctx) {
                  return splitPlatformRow("platform_split_serial",
-                                         true, 1, ctx);
-             })
-        .add("platform_split_pool2",
-             [](const exp::RunContext &ctx) {
-                 return splitPlatformRow("platform_split_pool2",
-                                         true, 2, ctx);
+                                         true, ctx);
              })
         .note("boundary_posts = deferred channel posts delivered at "
               "epoch barriers (the cross-domain traffic under the "
               "split plan); identical across rows by design.")
         .footer([](const std::vector<exp::ResultRow> &rows)
                     -> std::vector<std::string> {
-            if (rows.size() < 3)
+            if (rows.size() < 2)
                 return {};
             bool same =
-                rows[0].fingerprint() == rows[1].fingerprint() &&
-                rows[1].fingerprint() == rows[2].fingerprint();
-            return {std::string(
-                        "single vs split vs split-pool2 "
-                        "fingerprints: ") +
+                rows[0].fingerprint() == rows[1].fingerprint();
+            return {std::string("single vs split fingerprints: ") +
                     (same ? "IDENTICAL" : "DIVERGED")};
         });
 

@@ -134,8 +134,7 @@ Runner::parseArgs(int argc, char **argv, Options &opts)
     auto usage = [&](std::FILE *out) {
         std::fprintf(
             out,
-            "usage: %s [--jobs N] [--sim-threads N]"
-            " [--domain-plan single|split]\n"
+            "usage: %s [--jobs N] [--domain-plan single|split]\n"
             "          [--filter REGEX] [--json PATH]"
             " [--csv PATH] [--telemetry DIR]\n"
             "          [--time-scale F]"
@@ -143,19 +142,10 @@ Runner::parseArgs(int argc, char **argv, Options &opts)
             "          [--nodes N] [--fleet-policy P]"
             " [--cmd-path mmio|ring]\n"
             "          [--list] [--quiet]\n"
-            "  --sim-threads N  epoch-scheduler pool width inside "
-            "each System;\n"
-            "                   capped so jobs x sim-threads never "
-            "exceeds the\n"
-            "                   host's hardware threads (results "
-            "are identical\n"
-            "                   at any width)\n"
             "  --domain-plan P  'split' places each System's host "
             "side\n"
             "                   ({mem, iommu}) on its own simulation "
-            "domain so\n"
-            "                   --sim-threads can parallelize one "
-            "System;\n"
+            "domain;\n"
             "                   'single' (default) keeps the whole "
             "platform on\n"
             "                   one domain (results are identical "
@@ -198,14 +188,6 @@ Runner::parseArgs(int argc, char **argv, Options &opts)
                 std::strtoul(v, nullptr, 10));
             if (opts.jobs == 0)
                 opts.jobs = 1;
-        } else if (a == "--sim-threads") {
-            const char *v = val();
-            if (!v)
-                return false;
-            opts.simThreads = static_cast<unsigned>(
-                std::strtoul(v, nullptr, 10));
-            if (opts.simThreads == 0)
-                opts.simThreads = 1;
         } else if (a == "--domain-plan") {
             const char *v = val();
             if (!v)
@@ -305,30 +287,6 @@ Runner::parseArgs(int argc, char **argv, Options &opts)
     return true;
 }
 
-unsigned
-Runner::effectiveSimThreads(unsigned jobs, unsigned sim_threads,
-                            unsigned hw)
-{
-    if (jobs == 0)
-        jobs = 1;
-    if (sim_threads <= 1)
-        return 1;
-    // A single scenario worker can never oversubscribe by itself, so
-    // the requested width passes through — a 1-CPU host may still
-    // genuinely exercise the threaded engine.
-    if (jobs == 1)
-        return sim_threads;
-    if (hw == 0) {
-        hw = std::thread::hardware_concurrency();
-        if (hw == 0)
-            hw = 1;
-    }
-    unsigned cap = hw / jobs;
-    if (cap < 1)
-        cap = 1;
-    return sim_threads < cap ? sim_threads : cap;
-}
-
 int
 Runner::run(const Options &opts)
 {
@@ -368,19 +326,11 @@ Runner::run(const Options &opts)
             if (selected(_tables[t], _tables[t].scenarios[s]))
                 jobs.push_back(Job{t, s});
 
-    unsigned simThreads =
-        effectiveSimThreads(opts.jobs, opts.simThreads);
-
     if (opts.list) {
         for (const Job &j : jobs)
             std::printf("%s / %s\n", _tables[j.table].title.c_str(),
                         _tables[j.table].scenarios[j.scen].name
                             .c_str());
-        std::printf("# thread budget: --jobs %u x --sim-threads %u"
-                    " -> %u sim thread(s)/scenario (capped at"
-                    " hardware_concurrency / jobs; jobs=1 passes"
-                    " the request through)\n",
-                    opts.jobs, opts.simThreads, simThreads);
         std::printf("# domain plan: %s (%u domain(s)/System)\n",
                     opts.domainSplit ? "split" : "single",
                     opts.domainSplit ? hv::splitPlan().domainCount()
@@ -397,7 +347,6 @@ Runner::run(const Options &opts)
     RunContext ctx;
     ctx.timeScale = opts.timeScale;
     ctx.faults = opts.faults;
-    ctx.simThreads = simThreads;
     ctx.domainSplit = opts.domainSplit;
     ctx.nodes = opts.nodes;
     ctx.fleetPolicy = opts.fleetPolicy;
@@ -458,21 +407,11 @@ Runner::run(const Options &opts)
         }
         return out;
     };
-    // Every worker installs the capped pool width as the thread-local
-    // default, so each System a scenario builds picks it up without
-    // the scenario body naming it (and restores the previous value —
-    // the inline nthreads<=1 path runs on the caller's thread).
+    // Every worker installs the domain plan as the thread-local
+    // default, so a System built by the scenario body splits (or not)
+    // without naming the plan itself (and restores the previous value
+    // — the inline nthreads<=1 path runs on the caller's thread).
     auto worker = [&]() {
-        unsigned prevSim = sim::defaultSimThreads();
-        sim::setDefaultSimThreads(simThreads);
-        struct RestoreSim
-        {
-            unsigned prev;
-            ~RestoreSim() { sim::setDefaultSimThreads(prev); }
-        } restoreSim{prevSim};
-        // Same thread-local pattern for the domain plan: a System
-        // built by the scenario body splits (or not) without naming
-        // the plan itself.
         bool prevSplit = sim::defaultDomainSplit();
         sim::setDefaultDomainSplit(opts.domainSplit);
         struct RestoreSplit
@@ -557,9 +496,9 @@ Runner::run(const Options &opts)
         writeCsv(opts.csvPath);
 
     std::fprintf(stderr,
-                 "[%s] %zu scenario(s), jobs=%u, sim-threads=%u, "
+                 "[%s] %zu scenario(s), jobs=%u, "
                  "domain-plan=%s, cmd-path=%s, %.0f ms\n",
-                 _bench.c_str(), jobs.size(), opts.jobs, simThreads,
+                 _bench.c_str(), jobs.size(), opts.jobs,
                  opts.domainSplit ? "split" : "single",
                  opts.cmdPath.empty() ? "default"
                                       : opts.cmdPath.c_str(),

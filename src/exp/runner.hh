@@ -51,21 +51,12 @@ class Runner
          *  to scenarios via RunContext::faults; empty = fault-free. */
         std::string faults;
         /**
-         * Worker-pool width inside each simulated System (the
-         * conservative epoch scheduler, sim/domain.hh). Composes
-         * with --jobs under a total-thread cap — see
-         * effectiveSimThreads() — so jobs × sim-threads never
-         * oversubscribes the host. Never affects results: bench
-         * JSON is byte-identical at any value.
-         */
-        unsigned simThreads = 1;
-        /**
          * Run every System under the split domain plan — host side
          * {mem, iommu} on its own shard, coupled to the FPGA side
          * through the shell's package channels — instead of the
          * single-domain default (`--domain-plan split`). Results are
-         * byte-identical under either plan at any pool width; only
-         * wall-clock changes.
+         * byte-identical under either plan; only wall-clock
+         * changes.
          */
         bool domainSplit = false;
         /** Run every selected scenario this many times: the
@@ -129,17 +120,6 @@ class Runner
      * printing usage) on a bad flag; `--help` also returns false.
      */
     static bool parseArgs(int argc, char **argv, Options &opts);
-
-    /**
-     * Total-thread cap composing --jobs with --sim-threads: with
-     * one scenario worker the pool width passes through unchanged,
-     * otherwise it is clamped so jobs × sim-threads stays within
-     * @p hw hardware threads (never below 1). Pure so tests can pin
-     * the policy; hw = 0 reads std::thread::hardware_concurrency().
-     */
-    static unsigned effectiveSimThreads(unsigned jobs,
-                                        unsigned sim_threads,
-                                        unsigned hw = 0);
 
     /** Execute the selected scenarios and render. Returns the number
      *  of scenarios that threw (0 = success). */

@@ -34,16 +34,6 @@ struct RunContext
     std::string faults;
 
     /**
-     * Effective per-System worker-pool width (from --sim-threads,
-     * capped against --jobs so jobs × sim-threads never oversubscribes
-     * the host). The runner installs it as sim::defaultSimThreads()
-     * on every worker, so scenarios pick it up without plumbing;
-     * it is mirrored here for scenarios that want to report it.
-     * Never affects results — only wall-clock.
-     */
-    unsigned simThreads = 1;
-
-    /**
      * True when --domain-plan split is active: the runner installs
      * sim::setDefaultDomainSplit(true) on every worker, so each
      * System a scenario builds places {mem, iommu} on their own

@@ -204,16 +204,15 @@ Cluster::applyNodeDefaults(ClusterConfig cfg)
 sim::DomainId
 Cluster::hvDomainOf(unsigned node) const
 {
-    return node * _cfg.node.totalDomains() + _cfg.node.domains.hv;
+    return node * _cfg.node.domains.domainCount() + _cfg.node.domains.hv;
 }
 
-Cluster::Cluster(ClusterConfig cfg, unsigned sim_threads)
+Cluster::Cluster(ClusterConfig cfg)
     : _cfg(applyNodeDefaults(std::move(cfg))),
-      _domains(_cfg.node.totalDomains() * _cfg.nodes),
-      _sched(_domains, sim_threads == 0 ? sim::defaultSimThreads()
-                                        : sim_threads)
+      _domains(_cfg.node.domains.domainCount() * _cfg.nodes),
+      _sched(_domains)
 {
-    const std::uint32_t span = _cfg.node.totalDomains();
+    const std::uint32_t span = _cfg.node.domains.domainCount();
     _strays.resize(_cfg.nodes);
     _inbox.resize(_cfg.nodes);
 

@@ -5,14 +5,12 @@
  *
  * Topology: one sim::DomainSet holds every node's domain group side
  * by side (node i's DomainPlan is the per-node template offset by
- * i x span), driven by a single sim::EpochScheduler — so
- * `--sim-threads` parallelizes across nodes exactly as it does
- * across the split platform inside one node. Node-to-node links are
- * sim::Channels between the nodes' hypervisor domains at
+ * i x span), driven by a single sim::EpochScheduler. Node-to-node
+ * links are sim::Channels between the nodes' hypervisor domains at
  * configurable rack / inter-rack latency; since every link latency
  * is at least the intra-node interconnect latency, the epoch
- * schedule (and therefore byte-determinism across pool widths and
- * domain plans) is unchanged by clustering.
+ * schedule (and therefore byte-determinism across domain plans) is
+ * unchanged by clustering.
  *
  * Tenancy: a fleet tenant is one logical svc tenant with a *binding*
  * (VM + workers + programmed workload) on every node, created in
@@ -33,7 +31,7 @@
  * barriers (where no domain executes) or inside single-domain event
  * callbacks that only append to per-node inboxes; every scan runs in
  * index order with deterministic tie-breaks. Fleet results are
- * byte-identical across --sim-threads, --jobs, and --domain-plan.
+ * byte-identical across --jobs and --domain-plan.
  */
 
 #ifndef OPTIMUS_FLEET_FLEET_HH
@@ -183,9 +181,7 @@ class GlobalScheduler
 class Cluster
 {
   public:
-    /** @p sim_threads as for hv::System: 0 picks up
-     *  sim::defaultSimThreads(). Never affects results. */
-    explicit Cluster(ClusterConfig cfg, unsigned sim_threads = 0);
+    explicit Cluster(ClusterConfig cfg);
     ~Cluster();
     Cluster(const Cluster &) = delete;
     Cluster &operator=(const Cluster &) = delete;
@@ -281,7 +277,7 @@ class Cluster
     std::uint64_t fleetDropped() const;
 
     /** FNV-1a over every plane fingerprint plus the migration
-     *  accounting; byte-stable across pool widths and plans. */
+     *  accounting; byte-stable across domain plans. */
     std::uint64_t fingerprint() const;
 
   private:

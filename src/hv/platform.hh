@@ -104,22 +104,6 @@ struct PlatformConfig
     /** Component-group → domain assignment (all domain 0 by
      *  default, i.e. the strictly serial classic engine). */
     DomainPlan domains;
-    /**
-     * Extra domains beyond the platform's own, for harness-side
-     * actors (load generators, future fleet peers) that talk to the
-     * platform through sim::Channels. The System sizes its DomainSet
-     * to cover both.
-     */
-    std::uint32_t extraDomains = 0;
-
-    /** Total domains the System's DomainSet must provide: the plan's
-     *  own plus the harness extras. The single sizing authority —
-     *  every DomainSet built for this config uses this. */
-    std::uint32_t
-    totalDomains() const
-    {
-        return domains.domainCount() + extraDomains;
-    }
 };
 
 /** The simulated machine. */

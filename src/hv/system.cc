@@ -26,8 +26,7 @@ namespace {
  * Resolve the effective config before the DomainSet is sized: a
  * default (single-domain) plan picks up the thread-local domain-plan
  * default — which the experiment runner sets per worker from
- * `--domain-plan` — exactly like sim_threads picks up
- * defaultSimThreads(). An explicitly split (or otherwise non-default)
+ * `--domain-plan`. An explicitly split (or otherwise non-default)
  * plan is left alone.
  */
 PlatformConfig
@@ -40,14 +39,11 @@ applyDefaultPlan(PlatformConfig config)
 
 } // namespace
 
-System::System(PlatformConfig config, unsigned sim_threads)
+System::System(PlatformConfig config)
     : _ownedDomains(std::make_unique<sim::DomainSet>(
           (config = applyDefaultPlan(std::move(config)))
-              .totalDomains())),
-      _ownedSched(std::make_unique<sim::EpochScheduler>(
-          *_ownedDomains, sim_threads == 0
-                              ? sim::defaultSimThreads()
-                              : sim_threads)),
+              .domains.domainCount())),
+      _ownedSched(std::make_unique<sim::EpochScheduler>(*_ownedDomains)),
       domains(*_ownedDomains),
       eq(domains.queue(config.domains.hv)),
       sched(*_ownedSched),

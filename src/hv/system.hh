@@ -60,15 +60,9 @@ class SystemObserver
 class System
 {
   public:
-    /**
-     * @p sim_threads sizes the epoch scheduler's worker pool; 0 (the
-     * default) picks up sim::defaultSimThreads() — which the
-     * experiment runner sets per worker from `--sim-threads`. The
-     * thread count never affects results: 1 is the strictly serial
-     * classic engine and any N > 1 executes the same schedule on a
-     * pool (see sim/domain.hh).
-     */
-    explicit System(PlatformConfig config, unsigned sim_threads = 0);
+    /** Solo form: the System owns its DomainSet (sized by the
+     *  config's domain plan) and EpochScheduler. */
+    explicit System(PlatformConfig config);
 
     /**
      * Embedded (cluster-node) form: the caller owns the DomainSet and
@@ -138,7 +132,7 @@ class System
      * lookahead epochs — up to and including @p limit. The epoch
      * schedule (windows of one interconnect latency, deferred channel
      * posts delivered at the barriers) is identical for every domain
-     * plan and pool size; a split plan merely executes the host-side
+     * plan; a split plan merely executes the host-side
      * window on another shard. @return events executed.
      */
     std::uint64_t run(sim::Tick limit) { return sched.run(limit); }
@@ -160,8 +154,7 @@ class System
   public:
     /**
      * The simulation context: one EventQueue shard per logical
-     * domain (sized by the config's domain plan + extraDomains for
-     * the solo form; the embedder's full set for the cluster form)
+     * domain (sized by the config's domain plan for the solo form; the embedder's full set for the cluster form)
      * and the cross-domain channel registry. Declared first so every
      * other member may reference its shards.
      */

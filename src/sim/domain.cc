@@ -9,12 +9,7 @@ namespace optimus::sim {
 namespace {
 
 thread_local const ExecContext *t_exec = nullptr;
-thread_local unsigned t_defaultSimThreads = 1;
 thread_local bool t_defaultDomainSplit = false;
-/** Set while the calling thread is a pool worker (or inside drive()),
- *  so nested run()/drive() calls execute inline instead of
- *  deadlocking on their own pool. */
-thread_local bool t_onExecutor = false;
 
 } // namespace
 
@@ -33,20 +28,6 @@ ExecScope::ExecScope(EventQueue &q, DomainId d)
 ExecScope::~ExecScope()
 {
     t_exec = _prev;
-}
-
-unsigned
-defaultSimThreads()
-{
-    return t_defaultSimThreads;
-}
-
-unsigned
-setDefaultSimThreads(unsigned n)
-{
-    unsigned prev = t_defaultSimThreads;
-    t_defaultSimThreads = n == 0 ? 1 : n;
-    return prev;
 }
 
 bool
@@ -154,25 +135,6 @@ ChannelBase::post(Tick extra_delay, EventQueue::Callback cb)
     sq.postCross(_dst, when, _id, seq, std::move(cb));
 }
 
-EpochScheduler::EpochScheduler(DomainSet &set, unsigned threads)
-    : _set(set), _threads(threads == 0 ? 1 : threads)
-{
-    if (_threads <= 1)
-        return;
-    _workers.reserve(_threads);
-    for (unsigned i = 0; i < _threads; ++i)
-        _workers.emplace_back([this, i]() { workerLoop(i); });
-}
-
-EpochScheduler::~EpochScheduler()
-{
-    if (_workers.empty())
-        return;
-    dispatchToPool(Task::kStop);
-    for (std::thread &w : _workers)
-        w.join();
-}
-
 void
 EpochScheduler::runDomain(DomainId d)
 {
@@ -185,59 +147,10 @@ EpochScheduler::runDomain(DomainId d)
 }
 
 void
-EpochScheduler::workerLoop(unsigned index)
-{
-    t_onExecutor = true;
-    std::uint64_t seen = 0;
-    for (;;) {
-        Task task;
-        {
-            std::unique_lock<std::mutex> lk(_m);
-            _cvWork.wait(lk, [&]() { return _gen != seen; });
-            seen = _gen;
-            task = _task;
-        }
-        if (task == Task::kStop)
-            return;
-        if (task == Task::kEpoch) {
-            // Static round-robin partition: worker i executes
-            // domains i, i+threads, ... — which domains land where
-            // never affects results, only who computes them.
-            for (DomainId d = index; d < _set.size(); d += _threads)
-                runDomain(d);
-        } else if (task == Task::kDrive && index == 0) {
-            (*_driveFn)();
-        }
-        {
-            std::lock_guard<std::mutex> lk(_m);
-            if (--_outstanding == 0)
-                _cvDone.notify_all();
-        }
-    }
-}
-
-void
-EpochScheduler::dispatchToPool(Task task)
-{
-    std::unique_lock<std::mutex> lk(_m);
-    _task = task;
-    _outstanding = static_cast<unsigned>(_workers.size());
-    ++_gen;
-    _cvWork.notify_all();
-    if (task == Task::kStop)
-        return;
-    _cvDone.wait(lk, [&]() { return _outstanding == 0; });
-}
-
-void
 EpochScheduler::executeEpoch()
 {
-    if (_workers.empty() || t_onExecutor) {
-        for (DomainId d = 0; d < _set.size(); ++d)
-            runDomain(d);
-        return;
-    }
-    dispatchToPool(Task::kEpoch);
+    for (DomainId d = 0; d < _set.size(); ++d)
+        runDomain(d);
 }
 
 void
@@ -348,12 +261,12 @@ EpochScheduler::pumpUntil(const std::function<bool()> &stop,
         return finish(true);
     for (;;) {
         // One run() iteration per predicate evaluation: same window
-        // derivation, same executeEpoch (pool or serial), same
-        // barrier — so a pump's event schedule is exactly a prefix
-        // of what run() would execute, in every plan. check() may
-        // nest another pump (the service plane verifies results
-        // through the guest API); the next iteration simply
-        // re-derives its window from wherever that left the set.
+        // derivation, same executeEpoch, same barrier — so a pump's
+        // event schedule is exactly a prefix of what run() would
+        // execute, in every plan. check() may nest another pump (the
+        // service plane verifies results through the guest API); the
+        // next iteration simply re-derives its window from wherever
+        // that left the set.
         deliverPosts();
         Tick tmin = _set.nextEventTick();
         if (tmin == kTickForever)
@@ -374,20 +287,6 @@ EpochScheduler::pumpUntil(const std::function<bool()> &stop,
         if (check())
             return finish(true);
     }
-}
-
-void
-EpochScheduler::drive(const std::function<void()> &fn)
-{
-    if (_workers.empty() || t_onExecutor) {
-        fn();
-        return;
-    }
-    _driveFn = &fn;
-    dispatchToPool(Task::kDrive);
-    _driveFn = nullptr;
-    if (_barrierHook)
-        _barrierHook();
 }
 
 } // namespace optimus::sim

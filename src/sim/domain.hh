@@ -1,7 +1,7 @@
 /**
  * @file
- * Conservative parallel discrete-event core: logical domains, typed
- * cross-domain channels, and the lookahead epoch scheduler.
+ * Conservative discrete-event core: logical domains, typed cross-domain
+ * channels, and the serial lookahead epoch scheduler.
  *
  * The kernel's unit of sequential execution is a **domain**: one
  * EventQueue shard (the PR 1 three-level calendar) plus every
@@ -9,11 +9,10 @@
  * execute in (tick, seq) order on a single thread. Across domains,
  * the only way to interact is a **Channel**: a typed, one-directional
  * message port that carries a static minimum latency. That latency is
- * exactly the lookahead a conservative parallel simulation needs: if
- * every cross-domain influence takes at least L ticks to arrive, all
- * domains can safely execute the window [T, T+L) concurrently — no
- * event inside the window can be affected by anything another domain
- * does inside the same window.
+ * the lookahead of a conservative simulation: if every cross-domain
+ * influence takes at least L ticks to arrive, each domain can execute
+ * the window [T, T+L) on its own — no event inside the window can be
+ * affected by anything another domain does inside the same window.
  *
  * The EpochScheduler exploits that: it advances all domains in
  * lockstep epochs of length
@@ -23,32 +22,25 @@
  * (the platform's inter-component link latencies — UPI ~0.4 us — are
  * natural values for it). Messages sent during an epoch are buffered
  * in the sending domain's outbox and delivered at the barrier in
- * deterministic (tick, source domain, post order) order, which also
- * fixes the destination queue's FIFO tie-break seq. Execution order
- * is therefore a pure function of the topology — never of the worker
- * count — so a run with `threads == 1` (strictly serial, domain-id
- * order, and for a single-domain set literally today's engine) is
- * bit-identical to a run on any pool size.
+ * deterministic (tick, channel id, send seq) order, which also fixes
+ * the destination queue's FIFO tie-break seq. Execution order is
+ * therefore a pure function of the channel topology — never of which
+ * domain an endpoint lives in — so every DomainPlan produces the same
+ * bytes.
  *
- * Thread-safety model: a domain's queue and components are touched
- * only by the worker executing that domain's epoch; all handoff
- * (task publication, outbox collection, delivery) goes through the
- * scheduler's mutex, so every cross-thread access is ordered by a
- * happens-before edge. There is no other shared mutable state — the
- * per-domain PoolArena, Rngs and telemetry nodes all live inside
- * their domain.
+ * Execution is serial: each epoch runs domain 0 to the window end,
+ * then domain 1, and so on, on the calling thread. For a
+ * single-domain set without deferred channels this is literally the
+ * plain EventQueue engine.
  */
 
 #ifndef OPTIMUS_SIM_DOMAIN_HH
 #define OPTIMUS_SIM_DOMAIN_HH
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -57,9 +49,8 @@
 namespace optimus::sim {
 
 /**
- * The worker-thread execution context: which domain's events are
- * currently running on this thread. Set by the EpochScheduler (and by
- * DomainSet::runScope for serial drivers) around every slice of
+ * The execution context: which domain's events are currently running
+ * on this thread. Set by the EpochScheduler around every slice of
  * domain execution; TraceBus uses it to route buffered emissions to
  * the emitting domain and to stamp them with that domain's clock.
  * Null while no domain is executing (setup / teardown / harness
@@ -89,22 +80,11 @@ class ExecScope
 };
 
 /**
- * Worker-pool width a System picks up at construction when the
- * embedding harness doesn't size it explicitly. Thread-local (like
- * hv::SystemObserver) so parallel experiment workers can each carry
- * their own setting without sharing process state. Defaults to 1 =
- * strictly serial.
- */
-unsigned defaultSimThreads();
-/** Set the calling thread's default; returns the previous value. */
-unsigned setDefaultSimThreads(unsigned n);
-
-/**
  * Whether a System constructed on this thread with a default
  * (single-domain) PlatformConfig should apply the split platform plan
- * (host-side {mem, iommu} on their own domain). Thread-local for the
- * same reason as defaultSimThreads: parallel experiment workers each
- * carry their own setting. Defaults to false = single-domain.
+ * (host-side {mem, iommu} on their own domain). Thread-local (like
+ * hv::SystemObserver) so parallel experiment workers each carry their
+ * own setting. Defaults to false = single-domain.
  */
 bool defaultDomainSplit();
 /** Set the calling thread's default; returns the previous value. */
@@ -113,9 +93,9 @@ bool setDefaultDomainSplit(bool split);
 class ChannelBase;
 
 /**
- * A set of domain shards: the root object of one (possibly parallel)
- * simulation context. Owns one EventQueue per domain and the registry
- * of cross-domain channels the scheduler derives its lookahead from.
+ * A set of domain shards: the root object of one simulation context.
+ * Owns one EventQueue per domain and the registry of cross-domain
+ * channels the scheduler derives its lookahead from.
  */
 class DomainSet
 {
@@ -281,24 +261,20 @@ class Channel : public ChannelBase
 
 /**
  * The conservative epoch scheduler: advances every domain of a
- * DomainSet in lockstep lookahead windows, executing domains on a
- * worker pool when constructed with threads > 1 and strictly serially
- * (domain-id order, on the calling thread) otherwise.
+ * DomainSet in lockstep lookahead windows, strictly serially
+ * (domain-id order, on the calling thread).
  *
- * Determinism: per-domain execution is single-threaded and the
- * barrier delivery order is a sorted merge, so results are identical
- * for every pool size — including the telemetry/trace byte streams
- * when the TraceBus is domain-armed (see trace_bus.hh).
+ * Determinism: the barrier delivery order is a sorted merge keyed on
+ * the channel topology, so results are identical under every
+ * DomainPlan — including the telemetry/trace byte streams when the
+ * TraceBus is domain-armed (see trace_bus.hh).
  */
 class EpochScheduler
 {
   public:
-    explicit EpochScheduler(DomainSet &set, unsigned threads = 1);
-    ~EpochScheduler();
+    explicit EpochScheduler(DomainSet &set) : _set(set) {}
     EpochScheduler(const EpochScheduler &) = delete;
     EpochScheduler &operator=(const EpochScheduler &) = delete;
-
-    unsigned threads() const { return _threads; }
 
     /**
      * Run all domains up to and including @p limit (every domain's
@@ -307,16 +283,6 @@ class EpochScheduler
      * @return events executed across all domains.
      */
     std::uint64_t run(Tick limit = kTickForever);
-
-    /**
-     * Execute @p fn on the pool's first worker thread (inline when
-     * serial or already on a pool thread). For drive loops that step
-     * a single-domain set directly — e.g. the guest-API pump or the
-     * service plane's dispatch loop — so that `--sim-threads N`
-     * moves *all* simulation execution onto the pool, not just the
-     * windowed runs.
-     */
-    void drive(const std::function<void()> &fn);
 
     /**
      * Advance the whole set, epoch by epoch, until @p stop() returns
@@ -329,12 +295,12 @@ class EpochScheduler
      * Barrier granularity is what keeps determinism plan-invariant:
      * every epoch executes to its window end in every DomainPlan, so
      * the predicate always observes a state that is identical across
-     * plans and pool sizes — a mid-window stop would leave a
-     * plan-dependent residue of unexecuted events behind. The price
-     * is that a pump returns up to one lookahead window after the
-     * condition became true, with that window's pending work already
-     * executed; callers built on completion flags (all of ours) are
-     * insensitive to that.
+     * plans — a mid-window stop would leave a plan-dependent residue
+     * of unexecuted events behind. The price is that a pump returns
+     * up to one lookahead window after the condition became true,
+     * with that window's pending work already executed; callers
+     * built on completion flags (all of ours) are insensitive to
+     * that.
      *
      * @retval true @p stop() became true; false the whole set drained
      * first (a deadlock from the pumping caller's point of view).
@@ -342,9 +308,8 @@ class EpochScheduler
     bool pumpUntil(const std::function<bool()> &stop,
                    const std::function<void()> &between = nullptr);
 
-    /** Invoked on the coordinating thread at every epoch barrier and
-     *  at the end of run(); the System hooks the TraceBus merge
-     *  flush here. */
+    /** Invoked at every epoch barrier and at the end of run(); the
+     *  System hooks the TraceBus merge flush here. */
     void setBarrierHook(std::function<void()> hook)
     {
         _barrierHook = std::move(hook);
@@ -359,43 +324,18 @@ class EpochScheduler
     Tick lookahead() const { return _set.minCrossLatency(); }
 
   private:
-    enum class Task
-    {
-        kNone,
-        kEpoch,
-        kDrive,
-        kStop,
-    };
-
     void runDomain(DomainId d);
     void executeEpoch();
     void deliverPosts();
-    void workerLoop(unsigned index);
-    /** Publish the staged task to the pool and wait for the
-     *  barrier. */
-    void dispatchToPool(Task task);
 
     DomainSet &_set;
-    unsigned _threads;
     std::function<void()> _barrierHook;
     std::uint64_t _epochs = 0;
     std::uint64_t _delivered = 0;
 
-    // Epoch parameters staged by run() for the workers.
+    // The current epoch's window, staged by run() / pumpUntil().
     Tick _epochEnd = 0;
     bool _drainAll = false;
-    const std::function<void()> *_driveFn = nullptr;
-
-    // Pool state (threads > 1 only). All shard handoff is ordered by
-    // _m: the coordinator publishes a generation under the lock and
-    // workers report completion under it.
-    std::vector<std::thread> _workers;
-    std::mutex _m;
-    std::condition_variable _cvWork;
-    std::condition_variable _cvDone;
-    std::uint64_t _gen = 0;
-    unsigned _outstanding = 0;
-    Task _task = Task::kNone;
 };
 
 } // namespace optimus::sim

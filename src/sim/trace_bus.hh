@@ -158,8 +158,10 @@ class TraceBus
      * record is instead stamped with the *emitting domain's* clock
      * and buffered in that domain's lane; flushMerged() — called at
      * every epoch barrier — then dispatches all lanes merged in
-     * (tick, domain, emission seq) order. Sink byte streams are
-     * therefore identical for every worker-pool size.
+     * (tick, component, domain, emission seq) order. Sink byte
+     * streams are therefore identical for every domain plan, even
+     * though a serial epoch runs domain 0 to the window end before
+     * domain 1.
      */
     void emit(TraceRecord r);
 
@@ -172,8 +174,8 @@ class TraceBus
     void armDomains(std::uint32_t domains);
     bool domainsArmed() const { return !_lanes.empty(); }
 
-    /** Merge and dispatch every buffered lane (coordinator thread
-     *  only; the epoch barrier orders it against the workers). */
+    /** Merge and dispatch every buffered lane (at an epoch
+     *  barrier, outside any domain's execution). */
     void flushMerged();
 
     Tick now() const;
@@ -190,9 +192,9 @@ class TraceBus
     std::uint64_t _dispatched = 0;
     std::vector<std::pair<TraceSink *, std::uint32_t>> _sinks;
     std::vector<std::string> _paths;
-    /** Per-domain emission lanes (empty while single-domain). Each
-     *  lane is touched only by the worker executing its domain;
-     *  flushMerged() runs at the barrier, after the workers. */
+    /** Per-domain emission lanes (empty until armDomains). Each
+     *  lane is filled while its domain executes; flushMerged()
+     *  drains them all at the barrier. */
     std::vector<std::vector<TraceRecord>> _lanes;
 };
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Fleet plane tests: byte-determinism of an N-node cluster across
- * worker pool widths, conservation of work across forced live
+ * per-node domain plans, conservation of work across forced live
  * migrations (nothing lost in flight, blackout measured per move),
  * placement policy behavior, and automatic rebalancing of a hot
  * node.
@@ -54,9 +54,12 @@ struct RunStats
 };
 
 RunStats
-mixedLoadRun(unsigned sim_threads)
+mixedLoadRun(bool split = false)
 {
-    fleet::Cluster cl(twoNodeConfig(), sim_threads);
+    fleet::ClusterConfig cfg = twoNodeConfig();
+    if (split)
+        cfg.node.domains = hv::splitPlan();
+    fleet::Cluster cl(cfg);
     // Count-based placement co-locates t0/t2 on node 0: both heavy,
     // so the rebalancer has real migrations to perform.
     cl.addTenant(shaTenant("t0", 11, 120000.0));
@@ -68,20 +71,20 @@ mixedLoadRun(unsigned sim_threads)
             cl.migrationsCompleted(), cl.now()};
 }
 
-TEST(FleetTest, DeterministicAcrossSimThreads)
+TEST(FleetTest, DeterministicAcrossDomainPlan)
 {
-    RunStats st1 = mixedLoadRun(1);
-    RunStats st4 = mixedLoadRun(4);
-    EXPECT_GT(st1.completed, 0u);
-    EXPECT_EQ(st1.fingerprint, st4.fingerprint);
-    EXPECT_EQ(st1.completed, st4.completed);
-    EXPECT_EQ(st1.migrations, st4.migrations);
-    EXPECT_EQ(st1.end, st4.end);
+    RunStats single = mixedLoadRun(/*split=*/false);
+    RunStats split = mixedLoadRun(/*split=*/true);
+    EXPECT_GT(single.completed, 0u);
+    EXPECT_EQ(single.fingerprint, split.fingerprint);
+    EXPECT_EQ(single.completed, split.completed);
+    EXPECT_EQ(single.migrations, split.migrations);
+    EXPECT_EQ(single.end, split.end);
 }
 
 TEST(FleetTest, RebalancerMovesLoadOffHotNode)
 {
-    RunStats st = mixedLoadRun(1);
+    RunStats st = mixedLoadRun();
     EXPECT_GE(st.migrations, 1u);
 }
 

@@ -7,14 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
-
-#include <sstream>
 
 #include "ccip/channel_selector.hh"
 #include "ccip/link.hh"
 #include "ccip/shell.hh"
-#include "ccip/trace.hh"
 #include "iommu/iommu.hh"
 #include "mem/host_memory.hh"
 #include "mem/memory_controller.hh"
@@ -160,7 +158,7 @@ class ShellFixture : public ::testing::Test
     mem::MemoryController memctl{eq, params};
     iommu::Iommu iommu{eq, params};
     Shell shell{domains, 0, 0, params, memory, memctl, iommu};
-    sim::EpochScheduler sched{domains, 1};
+    sim::EpochScheduler sched{domains};
     std::vector<DmaTxnPtr> responses;
 };
 
@@ -275,14 +273,14 @@ class TracedShellFixture : public ::testing::Test
     iommu::Iommu iommu{eq, params};
     Shell shell{domains, 0,     0,      params,
                 memory,  memctl, iommu, {&telemetry.node("shell"), &bus}};
-    sim::EpochScheduler sched{domains, 1};
+    sim::EpochScheduler sched{domains};
     std::vector<DmaTxnPtr> responses;
 };
 
-TEST_F(TracedShellFixture, TraceWriterRecordsCompletedTransactions)
+TEST_F(TracedShellFixture, CompletedTransactionsYieldOneRecordEach)
 {
-    std::ostringstream os;
-    ccip::TraceWriter trace(os, bus);
+    sim::CollectSink sink;
+    bus.attach(&sink, sim::traceMask(sim::TraceKind::kDmaComplete));
 
     auto w = makeTxn(true, 0x40);
     shell.fromAfu(w);
@@ -290,36 +288,53 @@ TEST_F(TracedShellFixture, TraceWriterRecordsCompletedTransactions)
     shell.fromAfu(bad);
     runAll();
 
-    EXPECT_EQ(trace.rows(), 2u);
-    std::string csv = os.str();
-    EXPECT_NE(csv.find("complete_ns,issue_ns,rw,tag,iova"),
-              std::string::npos);
-    EXPECT_NE(csv.find(",W,"), std::string::npos);
-    EXPECT_NE(csv.find(",1\n"), std::string::npos); // error row
+    const auto &recs = sink.records();
+    ASSERT_EQ(recs.size(), 2u);
+    auto find = [&](std::uint64_t addr) {
+        auto it = std::find_if(recs.begin(), recs.end(),
+                               [&](const sim::TraceRecord &r) {
+                                   return r.addr == addr;
+                               });
+        EXPECT_NE(it, recs.end()) << std::hex << addr;
+        return *it;
+    };
+    sim::TraceRecord wr = find(0x40);
+    EXPECT_EQ(wr.kind, sim::TraceKind::kDmaComplete);
+    EXPECT_TRUE(wr.flags & sim::kTraceWrite);
+    EXPECT_FALSE(wr.flags & sim::kTraceError);
+    EXPECT_LE(wr.start, wr.at);
+    sim::TraceRecord rd = find(0x4000000000ULL);
+    EXPECT_EQ(rd.kind, sim::TraceKind::kDmaComplete);
+    EXPECT_FALSE(rd.flags & sim::kTraceWrite);
+    EXPECT_TRUE(rd.flags & sim::kTraceError);
+    EXPECT_LE(rd.start, rd.at);
+
+    bus.detach(&sink);
 }
 
 TEST_F(TracedShellFixture, TwoSinksBothObserveTheSameTransaction)
 {
     // Regression for the old Shell::setTracer single-slot design,
     // where attaching a second tracer silently evicted the first.
-    std::ostringstream os;
-    ccip::TraceWriter writer(os, bus);
-    sim::CollectSink collector;
-    bus.attach(&collector,
-               sim::traceMask(sim::TraceKind::kDmaComplete));
+    sim::CollectSink first;
+    sim::CollectSink second;
+    bus.attach(&first, sim::traceMask(sim::TraceKind::kDmaComplete));
+    bus.attach(&second, sim::traceMask(sim::TraceKind::kDmaComplete));
 
     auto w = makeTxn(true, 0x80);
     shell.fromAfu(w);
     runAll();
 
-    EXPECT_EQ(writer.rows(), 1u);
-    ASSERT_EQ(collector.records().size(), 1u);
-    const sim::TraceRecord &r = collector.records()[0];
-    EXPECT_EQ(r.kind, sim::TraceKind::kDmaComplete);
-    EXPECT_EQ(r.addr, 0x80u);
-    EXPECT_NE(os.str().find(",W,"), std::string::npos);
+    for (const sim::CollectSink *sink : {&first, &second}) {
+        ASSERT_EQ(sink->records().size(), 1u);
+        const sim::TraceRecord &r = sink->records()[0];
+        EXPECT_EQ(r.kind, sim::TraceKind::kDmaComplete);
+        EXPECT_EQ(r.addr, 0x80u);
+        EXPECT_TRUE(r.flags & sim::kTraceWrite);
+    }
 
-    bus.detach(&collector);
+    bus.detach(&second);
+    bus.detach(&first);
 }
 
 } // namespace

@@ -312,7 +312,7 @@ class MonitorFixture : public ::testing::Test
     iommu::Iommu iommu{eq, params};
     ccip::Shell shell{domains, 0, 0, params, memory, memctl, iommu};
     HardwareMonitor monitor{eq, params, shell, 4, 2};
-    sim::EpochScheduler sched{domains, 1};
+    sim::EpochScheduler sched{domains};
 };
 
 TEST_F(MonitorFixture, VcuIdentification)

@@ -208,16 +208,15 @@ TEST(RingTest, BatchedSubmitsCompleteInOrder)
 }
 
 // ---------------------------------------------------------------
-// Determinism: a ring-path plane is byte-identical across pool
-// widths and domain plans (the bench's --jobs axis is covered by
-// exp::Runner's slot discipline + the CI diff loops).
+// Determinism: a ring-path plane is byte-identical across domain
+// plans (the bench's --jobs axis is covered by exp::Runner's slot
+// discipline + the CI diff loops).
 // ---------------------------------------------------------------
 
 std::uint64_t
-ringPlaneFingerprint(unsigned threads, bool split)
+ringPlaneFingerprint(bool split)
 {
     bool prev_split = sim::setDefaultDomainSplit(split);
-    unsigned prev_threads = sim::setDefaultSimThreads(threads);
     std::uint64_t fp = 0;
     {
         hv::System sys(hv::makeOptimusConfig("SHA", 1));
@@ -244,17 +243,14 @@ ringPlaneFingerprint(unsigned threads, bool split)
         f.add(sys.hv.traps()).add(sys.eq.now());
         fp = f.value();
     }
-    sim::setDefaultSimThreads(prev_threads);
     sim::setDefaultDomainSplit(prev_split);
     return fp;
 }
 
-TEST(RingTest, DeterministicAcrossSimThreadsAndDomainPlan)
+TEST(RingTest, DeterministicAcrossDomainPlan)
 {
-    const std::uint64_t base = ringPlaneFingerprint(1, false);
-    EXPECT_EQ(ringPlaneFingerprint(4, false), base);
-    EXPECT_EQ(ringPlaneFingerprint(1, true), base);
-    EXPECT_EQ(ringPlaneFingerprint(4, true), base);
+    EXPECT_EQ(ringPlaneFingerprint(/*split=*/true),
+              ringPlaneFingerprint(/*split=*/false));
 }
 
 // ---------------------------------------------------------------
@@ -383,13 +379,15 @@ TEST(RingTest, FleetMigrationConservesRingTenantWork)
               cl.fleetCompleted() + cl.fleetDropped());
 }
 
-TEST(RingTest, FleetRingDeterministicAcrossSimThreads)
+TEST(RingTest, FleetRingDeterministicAcrossDomainPlan)
 {
-    auto runOnce = [](unsigned threads) {
+    auto runOnce = [](bool split) {
         fleet::ClusterConfig cfg;
         cfg.nodes = 2;
         cfg.node = hv::makeOptimusConfig("SHA", 1);
-        fleet::Cluster cl(cfg, threads);
+        if (split)
+            cfg.node.domains = hv::splitPlan();
+        fleet::Cluster cl(cfg);
         fleet::FleetTenantSpec spec;
         spec.svc.name = "t0";
         spec.svc.app = "SHA";
@@ -410,7 +408,7 @@ TEST(RingTest, FleetRingDeterministicAcrossSimThreads)
         cl.run(sim::kTickMs);
         return cl.fingerprint();
     };
-    EXPECT_EQ(runOnce(1), runOnce(4));
+    EXPECT_EQ(runOnce(/*split=*/false), runOnce(/*split=*/true));
 }
 
 // ---------------------------------------------------------------
